@@ -31,14 +31,15 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use reach_bench::{dataset_filter, scaled, Report};
 use reach_core::dynamic::DynamicIndex;
 use reach_datasets::{churn_stream, final_edge_set, workload, ChurnConfig, QueryMix};
 use reach_graph::{DiGraph, DynamicGraph, EdgeEvent, OrderAssignment, OrderKind};
-use reach_ingest::{Ingest, IngestConfig, IngestStats, RepairMode};
+use reach_index::ReachIndex;
+use reach_ingest::{IndexSink, Ingest, IngestConfig, IngestStats, RepairMode};
 use reach_serve::{QueryService, ServeConfig};
 
 const SERVE_WORKERS: usize = 2;
@@ -154,6 +155,22 @@ fn main() {
     report.finish();
 }
 
+/// Installs every published snapshot into the live service and keeps the
+/// latest one, which the final-state gate compares against a rebuild.
+struct ServingSink {
+    service: Arc<QueryService>,
+    latest: Mutex<Arc<ReachIndex>>,
+}
+
+impl IndexSink for ServingSink {
+    fn install(&self, index: Arc<ReachIndex>) -> u64 {
+        let mut latest = self.latest.lock().expect("sink lock poisoned");
+        let generation = self.service.swap_index(Arc::clone(&index));
+        *latest = index;
+        generation
+    }
+}
+
 /// One full pipeline run against a live service with a racing query load.
 fn drive(
     dataset: &'static str,
@@ -166,12 +183,16 @@ fn drive(
     let ord = OrderAssignment::new(g, OrderKind::DegreeProduct);
     let initial = Arc::new(reach_core::improved::drl(g, &ord));
     let service = Arc::new(QueryService::start(
-        initial,
+        Arc::clone(&initial),
         ServeConfig::with_workers(SERVE_WORKERS),
     ));
+    let sink = Arc::new(ServingSink {
+        service: Arc::clone(&service),
+        latest: Mutex::new(initial),
+    });
     let ingest = Ingest::start(
         DynamicIndex::new(DynamicGraph::from_digraph(g), ord),
-        Arc::clone(&service) as Arc<dyn reach_ingest::IndexSink>,
+        Arc::clone(&sink) as Arc<dyn IndexSink>,
         IngestConfig {
             flush_events: FLUSH_EVENTS,
             flush_age: FLUSH_AGE,
@@ -212,7 +233,11 @@ fn drive(
     // the served index must equal a from-scratch build of the final edge
     // set under the frozen order (base order + streamed-in vertices at
     // the lowest ranks in first-seen order).
-    let (served, _generation) = service.index_tagged();
+    let served = Arc::into_inner(sink)
+        .expect("ingest joined")
+        .latest
+        .into_inner()
+        .expect("sink lock poisoned");
     let (final_n, final_edges) = final_edge_set(g, events);
     let final_graph = DiGraph::from_edges(final_n, final_edges);
     let mut final_ord = OrderAssignment::new(g, OrderKind::DegreeProduct);

@@ -5,7 +5,9 @@
 //! `reach_datasets::workload` (uniform / positive-biased / Zipf-hot) at
 //! 1/2/4/8 worker threads, keeping a window of outstanding async batches
 //! in flight. Records throughput (qps), batch latency percentiles
-//! (p50/p99), cache hit rate, and speedup vs the single-worker run.
+//! (p50/p99), the cache hit rate column (always 0 now that the service
+//! has no cache; kept so the JSON schema is unchanged), and speedup vs
+//! the single-worker run.
 //!
 //! Every run's answers are checked against direct `ReachIndex::query`
 //! calls — a serving layer that changes an answer is a bug, not a result.
@@ -141,7 +143,8 @@ fn main() {
 
 /// One measured service run: submit the workload as a pipeline of
 /// outstanding async batches, then collect throughput, latency
-/// percentiles, and the cache hit rate from the drained service.
+/// percentiles, and the (always 0) cache hit rate from the drained
+/// service.
 fn drive(
     idx: &Arc<ReachIndex>,
     workers: usize,

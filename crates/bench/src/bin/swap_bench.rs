@@ -12,8 +12,8 @@
 //! Reported per run: throughput, p50/p99 batch latency, and the number of
 //! swaps that landed mid-measurement. The comparison quantifies the
 //! design's claim that a swap never drains or blocks in-flight batches —
-//! a storm should dent p99 only by the label-rebuild CPU it steals, not
-//! by stalls. Every batch's answers are verified against
+//! a storm should dent p99 only by the CPU the swapper steals, not by
+//! stalls. Every batch's answers are verified against
 //! `ReachIndex::query` on the generation the ticket reports
 //! ([`BatchTicket::wait_tagged`]); a torn batch aborts the bench.
 //!
@@ -40,7 +40,7 @@ const SIM_NODES: usize = 8;
 const BATCH: usize = 64;
 const SLICES: usize = 3;
 const WORKLOAD_SEED: u64 = 0x5a4b;
-/// Pacing between storm swaps; each swap also pays a full label resharding.
+/// Pacing between storm swaps; a swap itself only stores a pointer.
 const STORM_PACING: Duration = Duration::from_micros(500);
 
 struct Run {

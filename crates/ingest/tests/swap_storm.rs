@@ -1,13 +1,13 @@
 //! Serve-side invariants under an ingest-fed swap storm: the
-//! `submitted == answered + rejected + shed` ledger holds, and the
-//! result cache never leaks an answer across generations.
+//! `submitted == answered + rejected + shed` ledger holds, and no answer
+//! leaks across generations.
 //!
 //! The staleness probe is a graph whose reachability *toggles* every
 //! event: a bridge edge is inserted and removed in alternation, and the
 //! pipeline publishes after every single event. The same query is
-//! submitted over and over with the cache on — if any cached answer
-//! survived a generation swap it would disagree with the snapshot of the
-//! generation it was answered at.
+//! submitted over and over — if any answer came from another generation
+//! than the one its batch pinned, it would disagree with that
+//! generation's snapshot.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -40,7 +40,6 @@ fn swap_storm_keeps_the_ledger_and_never_serves_stale_answers() {
     let initial = Arc::new(reach_core::improved::drl(&g, &ord));
 
     let mut config = ServeConfig::with_workers(2);
-    assert!(config.cache_capacity > 0, "the probe needs the cache on");
     config.queue_capacity = 64;
     let service = Arc::new(QueryService::start(Arc::clone(&initial), config));
     let sink = Arc::new(RecordingSink {
@@ -113,7 +112,7 @@ fn swap_storm_keeps_the_ledger_and_never_serves_stale_answers() {
     // No stale answers: each observation matches the snapshot of the
     // generation it was pinned to. The stable probes also pin the
     // constant expectations ((0,2) and (3,5) true, (5,0) false) so a
-    // wholly-wrong snapshot cannot hide a cache leak.
+    // wholly-wrong snapshot cannot hide a generation leak.
     let sink = Arc::into_inner(sink).expect("ingest worker exited");
     drop(sink.service);
     let by_generation = sink.by_generation.into_inner().unwrap();
@@ -140,8 +139,4 @@ fn swap_storm_keeps_the_ledger_and_never_serves_stale_answers() {
     let serve_stats = service.shutdown();
     assert!(serve_stats.is_balanced(), "{serve_stats:?}");
     assert!(serve_stats.swaps as usize == stats.publishes);
-    assert!(
-        serve_stats.cache_hits > 0,
-        "the probe must exercise the cache"
-    );
 }

@@ -1,38 +1,35 @@
-//! `reach-serve` — a concurrent, shard-aware reachability query service.
+//! `reach-serve` — a concurrent reachability query service.
 //!
 //! The paper's deployment model (§II-A) ends at "ship the finished DRL
 //! index to a query machine"; this crate is that query machine. It serves
 //! an immutable, [`Arc`](std::sync::Arc)-shared [`reach_index::ReachIndex`]
 //! to many concurrent clients:
 //!
-//! * **Sharding** — the label store is partitioned by the same
-//!   vertex-partitioning the cluster simulation uses
-//!   ([`reach_vcs::Partition`]): worker `k` owns `L_out(v)` for every
-//!   vertex with `node_of(v) == k` and answers every query sourced at one
-//!   of its vertices entirely locally (the in-label side is an immutable
-//!   shared replica, so no cross-shard hop is ever needed). See
-//!   [`shard::ShardedLabels`].
+//! * **One serving path** — the served index is any
+//!   [`reach_index::IndexSource`] (a decoded `ReachIndex`, a compressed
+//!   image, or an mmap-backed file), shared read-only by every worker.
+//!   A query `q(s, t)` is one sorted merge of `L_out(s)` and `L_in(t)`,
+//!   answered by worker `s mod workers`; the split spreads a large batch
+//!   over the workers without any cross-worker hop.
 //! * **Batching & admission control** — queries are submitted in batches
 //!   ([`QueryService::submit_batch`]) with an optional per-batch deadline.
-//!   Each shard has a bounded request queue; a full queue rejects the
+//!   Each worker has a bounded request queue; a full queue rejects the
 //!   batch with [`ServeError::Overloaded`] at admission time and an
 //!   expired deadline yields [`ServeError::DeadlineExceeded`] — never a
 //!   silent drop or a panic. Results come back in submission order
-//!   regardless of which shard answered what, so answers are bit-identical
-//!   to direct [`reach_index::ReachIndex::query`] calls at any worker
-//!   count.
-//! * **Caching** — a seeded, sharded LRU result cache keyed on
-//!   `(generation, s, t)` ([`cache::ShardedLruCache`]) absorbs hot pairs;
-//!   hit/miss counts are visible through [`QueryService::stats`] and, with
-//!   the `obs` feature, through the `serve.*` metrics (see
-//!   `docs/OBSERVABILITY.md`).
-//! * **Hot-swap** — [`QueryService::swap_index`] installs a rebuilt index
-//!   behind a generation-tagged slot ([`swap::Swappable`]) without
-//!   draining in-flight work: every batch pins exactly one generation at
-//!   first worker pickup and is answered entirely by it, the cache keys
-//!   on the generation, and [`BatchTicket::wait_tagged`] reports which
-//!   generation answered. The differential harness in [`testing`] (driven
-//!   by `tests/hot_swap.rs` and the `swap_bench` load harness) pins the
+//!   regardless of which worker answered what, so answers are
+//!   bit-identical to direct [`reach_index::ReachIndex::query`] calls at
+//!   any worker count. Counters are visible through
+//!   [`QueryService::stats`] and, with the `obs` feature, through the
+//!   `serve.*` metrics (see `docs/OBSERVABILITY.md`).
+//! * **Hot-swap** — [`QueryService::swap_source`] (and
+//!   [`QueryService::swap_index`]) installs a new index behind a
+//!   generation-tagged slot ([`swap::Swappable`]) without draining
+//!   in-flight work or copying labels: every batch pins exactly one
+//!   generation at first worker pickup and is answered entirely by it,
+//!   and [`BatchTicket::wait_tagged`] reports which generation answered.
+//!   The differential harness in [`testing`] (driven by
+//!   `tests/hot_swap.rs` and the `swap_bench` load harness) pins the
 //!   no-torn-batches guarantee against `ReachIndex::query`.
 //!
 //! * **Resilience & chaos mode** — with [`ResilienceConfig`] set, workers
@@ -55,22 +52,18 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod fault;
 pub mod retry;
 pub mod service;
-pub mod shard;
 pub mod supervisor;
 pub mod swap;
 pub mod testing;
 
-pub use cache::ShardedLruCache;
 pub use fault::ServeFaultPlan;
 pub use retry::RetryPolicy;
 pub use service::{
     BatchOptions, BatchTicket, DegradeConfig, Priority, QueryService, ServeConfig, ServeStats,
 };
-pub use shard::ShardedLabels;
 pub use supervisor::{ResilienceConfig, SupervisorConfig};
 pub use swap::{Swappable, Tagged};
 
@@ -83,13 +76,13 @@ use reach_graph::VertexId;
 /// input or overload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// The bounded request queue of a shard was full at admission time —
+    /// The bounded request queue of a worker was full at admission time —
     /// the service is over capacity and sheds load instead of queueing
     /// unboundedly.
     Overloaded {
-        /// The shard whose queue rejected the batch.
+        /// The worker whose queue rejected the batch.
         shard: usize,
-        /// The per-shard queue capacity (sub-batches) that was exhausted.
+        /// The per-worker queue capacity (sub-batches) that was exhausted.
         capacity: usize,
     },
     /// The batch's deadline expired before all of its results were
@@ -128,9 +121,9 @@ pub enum ServeError {
 pub enum DegradeTier {
     /// Tier 1: [`Priority::Low`] work is shed.
     SheddingLow,
-    /// Tier 2: [`Priority::Normal`] work is served from the result cache
-    /// alone or shed; only [`Priority::High`] work reaches the workers.
-    CacheOnly,
+    /// Tier 2: [`Priority::Normal`] work is shed as well; only
+    /// [`Priority::High`] work reaches the workers.
+    SheddingNormal,
 }
 
 impl std::fmt::Display for ServeError {
@@ -156,7 +149,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Degraded { tier } => {
                 let mode = match tier {
                     DegradeTier::SheddingLow => "shedding low-priority work",
-                    DegradeTier::CacheOnly => "serving cache-only",
+                    DegradeTier::SheddingNormal => "shedding normal-priority work",
                 };
                 write!(f, "degraded under overload: {mode}")
             }
@@ -195,9 +188,9 @@ mod tests {
             .to_string()
             .contains("shutting down"));
         let e = ServeError::Degraded {
-            tier: DegradeTier::CacheOnly,
+            tier: DegradeTier::SheddingNormal,
         };
-        assert!(e.to_string().contains("cache-only"));
+        assert!(e.to_string().contains("normal-priority"));
         let e = ServeError::SwapFailed { generation: 3 };
         assert!(e.to_string().contains("generation 3"));
     }

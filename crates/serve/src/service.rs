@@ -1,12 +1,13 @@
-//! The multi-threaded query service: worker pool, bounded per-shard
-//! queues, batch tickets, deadlines, and the result cache.
+//! The multi-threaded query service: worker pool, bounded per-worker
+//! queues, batch tickets, and deadlines.
 //!
 //! # Lifecycle
 //!
-//! [`QueryService::start`] builds the [`ShardedLabels`] store from an
-//! `Arc`-shared index and spawns one worker thread per shard. Submitters
-//! call [`QueryService::reachable`] / [`QueryService::submit_batch`] (or
-//! the non-blocking [`QueryService::submit_batch_async`], which returns a
+//! [`QueryService::start_with_source`] (or [`QueryService::start`] for a
+//! decoded index) installs the served [`IndexSource`] as generation 0 and
+//! spawns the worker threads. Submitters call
+//! [`QueryService::reachable`] / [`QueryService::submit_batch`] (or the
+//! non-blocking [`QueryService::submit_batch_async`], which returns a
 //! [`BatchTicket`]); [`QueryService::shutdown`] closes the queues, lets
 //! the workers drain every admitted batch (nothing is silently dropped),
 //! joins them, and folds their `reach-obs` recordings into the calling
@@ -14,25 +15,22 @@
 //!
 //! # Determinism
 //!
-//! Answers are computed from an immutable label store, each query's
-//! result is written to its submission position, and a batch completes
-//! only when every sub-batch has. Worker count, scheduling, and cache
-//! state therefore cannot change any answer — the property the
-//! `service_determinism` proptest pins across graphs × seeds × thread
-//! counts, with and without the cache.
+//! Answers are computed from an immutable index, each query's result is
+//! written to its submission position, and a batch completes only when
+//! every sub-batch has. Worker count and scheduling therefore cannot
+//! change any answer — the property the `service_determinism` proptest
+//! pins across graphs × seeds × thread counts.
 //!
 //! # Hot-swap
 //!
-//! [`QueryService::swap_index`] installs a rebuilt index (plus its
-//! resharded label store) behind a generation-tagged
-//! [`Swappable`] slot without draining anything:
-//! in-flight batches keep the epoch they pinned, queued batches pin the
-//! current epoch at **first worker pickup** (raced sub-batches agree via
-//! a `OnceLock`), and the result cache keys on the generation so one
-//! epoch's answers can never satisfy another's probes. Every batch is
-//! therefore answered entirely by a single index — the no-torn-batches
-//! property `tests/hot_swap.rs` pins differentially against
-//! `ReachIndex::query` on the pinned generation.
+//! [`QueryService::swap_source`] (and [`QueryService::swap_index`] for a
+//! decoded index) installs a new backing behind a generation-tagged
+//! [`Swappable`] slot without draining or copying anything: in-flight
+//! batches keep the epoch they pinned, and queued batches pin the current
+//! epoch at **first worker pickup** (raced sub-batches agree via a
+//! `OnceLock`). Every batch is therefore answered entirely by a single
+//! index — the no-torn-batches property `tests/hot_swap.rs` pins
+//! differentially against `ReachIndex::query` on the pinned generation.
 //!
 //! # Resilience
 //!
@@ -42,10 +40,9 @@
 //! respawn — optionally under a seeded
 //! [`ServeFaultPlan`](crate::fault::ServeFaultPlan) injecting crashes,
 //! stalls, slow shards, and swap-install failures (chaos mode). With
-//! [`ServeConfig::degrade`] set, admission sheds work by
-//! [`Priority`] tier under sustained overload, optionally serving
-//! cache-only answers. Both default to `None`, leaving the original
-//! code path untouched. `docs/RESILIENCE.md` has the full model.
+//! [`ServeConfig::degrade`] set, admission sheds work by [`Priority`]
+//! tier under sustained overload. Both default to `None`, leaving the
+//! original code path untouched. `docs/RESILIENCE.md` has the full model.
 //!
 //! # Accounting
 //!
@@ -63,83 +60,25 @@ use std::time::{Duration, Instant};
 
 use reach_graph::VertexId;
 use reach_index::{IndexSource, ReachIndex};
-use reach_vcs::Partition;
 
-use crate::cache::ShardedLruCache;
 use crate::fault::{InjectedFault, WorkerFaultStream};
-use crate::shard::ShardedLabels;
 use crate::supervisor::{Resilience, ResilienceConfig, WorkerExit, WorkerSlot};
 use crate::swap::{Swappable, Tagged};
 use crate::{DegradeTier, ServeError};
 
-/// One served index epoch, swapped in as a unit so a worker can never
-/// pair one generation's labels with another's index.
-///
-/// Two backings answer the same queries: the classic **Ram** form (a
-/// decoded [`ReachIndex`] plus the [`ShardedLabels`] store resharded
-/// from it), and a **Source** form — any [`IndexSource`], e.g. a
-/// compressed or mmap-backed v2 image — for indexes that should not
-/// (or cannot) be fully decoded into memory. Source epochs answer from
-/// one shared structure, so the worker's `shard` id does not partition
-/// the scan; admission, queueing, caching, and swaps are identical.
-pub(crate) enum Epoch {
-    /// Decoded index + sharded label store (the original serving form).
-    Ram {
-        /// The decoded index, for witness queries and re-sharding swaps.
-        index: Arc<ReachIndex>,
-        /// Per-shard CSR labels the workers scan.
-        labels: ShardedLabels,
-    },
-    /// Any [`IndexSource`] backing: compressed in-heap or mmap-backed.
-    Source(Arc<dyn IndexSource>),
-}
-
-impl Epoch {
-    /// Vertices covered by this epoch's index.
-    fn num_vertices(&self) -> usize {
-        match self {
-            Epoch::Ram { labels, .. } => labels.num_vertices(),
-            Epoch::Source(src) => src.num_vertices(),
-        }
-    }
-
-    /// Answers `q(s, t)` with its scan cost. `shard` routes the Ram
-    /// form's per-shard label store; a Source ignores it.
-    fn scan(&self, shard: usize, s: VertexId, t: VertexId) -> (bool, usize) {
-        match self {
-            Epoch::Ram { labels, .. } => labels.scan(shard, s, t),
-            Epoch::Source(src) => src.query_scan(s, t),
-        }
-    }
-
-    /// The backing as a shareable [`IndexSource`] (witness queries).
-    fn as_source(&self) -> Arc<dyn IndexSource> {
-        match self {
-            Epoch::Ram { index, .. } => Arc::clone(index) as Arc<dyn IndexSource>,
-            Epoch::Source(src) => Arc::clone(src),
-        }
-    }
-}
-
-/// A pinned epoch handle: the tagged value batches hold onto.
-type EpochRef = Arc<Tagged<Epoch>>;
+/// A pinned epoch handle: the served backing plus the generation it was
+/// installed under, held by every batch that pinned it.
+type EpochRef = Arc<Tagged<Arc<dyn IndexSource>>>;
 
 /// Tuning knobs of a [`QueryService`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads — one label shard per worker. Must be ≥ 1.
+    /// Worker threads, each with its own queue; a query goes to worker
+    /// `s mod workers` by its source vertex `s`. Must be ≥ 1.
     pub workers: usize,
-    /// Bounded per-shard request queue, in sub-batches; a full queue
+    /// Bounded per-worker request queue, in sub-batches; a full queue
     /// rejects new batches with [`ServeError::Overloaded`]. Must be ≥ 1.
     pub queue_capacity: usize,
-    /// Total result-cache entries across cache shards; `0` disables the
-    /// cache entirely.
-    pub cache_capacity: usize,
-    /// Independent cache shards (each its own lock). Must be ≥ 1 when the
-    /// cache is enabled.
-    pub cache_shards: usize,
-    /// Seed fixing the cache's key-to-shard spread.
-    pub cache_seed: u64,
     /// Deadline applied to batches submitted without an explicit one;
     /// `None` means such batches never expire.
     pub default_deadline: Option<Duration>,
@@ -157,9 +96,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 1,
             queue_capacity: 1024,
-            cache_capacity: 1 << 14,
-            cache_shards: 8,
-            cache_seed: 0x5eed_cafe,
             default_deadline: None,
             resilience: None,
             degrade: None,
@@ -174,12 +110,6 @@ impl ServeConfig {
             workers,
             ..ServeConfig::default()
         }
-    }
-
-    /// Disables the result cache.
-    pub fn no_cache(mut self) -> Self {
-        self.cache_capacity = 0;
-        self
     }
 
     /// Runs the workers under supervision (see [`ResilienceConfig`]).
@@ -197,10 +127,9 @@ impl ServeConfig {
 
 /// Client-visible importance of a batch, consulted only by the
 /// degradation tiers: under sustained overload the service sheds
-/// [`Priority::Low`] work first, then serves [`Priority::Normal`] work
-/// cache-only (or sheds it), while [`Priority::High`] work always
-/// reaches normal admission. Without a [`DegradeConfig`] every priority
-/// is treated identically.
+/// [`Priority::Low`] work first, then [`Priority::Normal`] work, while
+/// [`Priority::High`] work always reaches normal admission. Without a
+/// [`DegradeConfig`] every priority is treated identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
     /// First to be shed under overload (background / speculative work).
@@ -261,13 +190,13 @@ impl BatchOptions {
 /// |---|---|---|
 /// | 0 | — | normal admission |
 /// | 1 ([`DegradeTier::SheddingLow`]) | `shed_low_at` | [`Priority::Low`] batches rejected with [`ServeError::Degraded`] |
-/// | 2 ([`DegradeTier::CacheOnly`]) | `cache_only_at` | additionally, [`Priority::Normal`] batches are answered from the result cache alone when every query hits, else rejected with [`ServeError::Degraded`] |
+/// | 2 ([`DegradeTier::SheddingNormal`]) | `shed_normal_at` | additionally, [`Priority::Normal`] batches rejected with [`ServeError::Degraded`] |
 #[derive(Clone, Debug)]
 pub struct DegradeConfig {
     /// Pressure at which tier 1 (shed low-priority work) engages.
     pub shed_low_at: f64,
-    /// Pressure at which tier 2 (cache-only normal work) engages.
-    pub cache_only_at: f64,
+    /// Pressure at which tier 2 (shed normal-priority work) engages.
+    pub shed_normal_at: f64,
     /// A tier disengages once pressure drops this far below its entry
     /// watermark.
     pub resume_margin: f64,
@@ -277,7 +206,7 @@ impl Default for DegradeConfig {
     fn default() -> Self {
         DegradeConfig {
             shed_low_at: 0.75,
-            cache_only_at: 0.95,
+            shed_normal_at: 0.95,
             resume_margin: 0.25,
         }
     }
@@ -295,18 +224,13 @@ pub struct ServeStats {
     /// `rejected_*` counters, or [`shed`](ServeStats::shed) — the
     /// balance [`ServeStats::is_balanced`] checks and shutdown asserts.
     pub submitted: u64,
-    /// Batches whose every query was answered (including empty batches
-    /// and cache-only degraded serves).
+    /// Batches whose every query was answered (including empty batches).
     pub answered: u64,
-    /// Queries answered (cache hits included).
+    /// Queries answered.
     pub queries: u64,
     /// Batches admitted past admission control (every sub-batch
     /// enqueued). A batch rejected mid-enqueue is *not* counted here.
     pub batches: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses (label scans performed with the cache on).
-    pub cache_misses: u64,
     /// Batches rejected with [`ServeError::Overloaded`].
     pub rejected_overload: u64,
     /// Batches rejected with [`ServeError::DeadlineExceeded`] — at
@@ -344,14 +268,11 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Cache hits over cache probes, or 0.0 before any probe.
+    /// Always 0.0: the service has no result cache. Kept so callers that
+    /// report a hit rate (the repository benchmark among them) still
+    /// compile and read an honest zero.
     pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.cache_hits + self.cache_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / probes as f64
-        }
+        0.0
     }
 
     /// Batches rejected for any reason (overload, deadline, invalid
@@ -379,8 +300,6 @@ struct StatsInner {
     answered: AtomicU64,
     queries: AtomicU64,
     batches: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     rejected_overload: AtomicU64,
     rejected_deadline: AtomicU64,
     rejected_invalid: AtomicU64,
@@ -403,8 +322,6 @@ impl StatsInner {
             answered: self.answered.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
             rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
             rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
@@ -457,7 +374,7 @@ impl StatsInner {
 /// Completion state shared between a batch's ticket and its sub-batches.
 struct BatchState {
     /// One slot per submitted query, written at the query's submission
-    /// position by whichever shard answers it.
+    /// position by whichever worker answers it.
     results: Mutex<Vec<bool>>,
     progress: Mutex<Progress>,
     done: Condvar,
@@ -503,10 +420,12 @@ impl BatchState {
         self.progress.lock().unwrap().failed.is_some()
     }
 
-    /// Marks one sub-batch finished (successfully or not) and reports
-    /// what that did to the batch, so the caller can count its terminal
-    /// bucket exactly once.
-    fn finish_sub(&self, outcome: Result<(), ServeError>) -> FinishOutcome {
+    /// Marks one sub-batch finished (successfully or not) and settles
+    /// whatever terminal accounting that implies for its batch: the first
+    /// failure counts the batch rejected, the successful completion counts
+    /// it answered — each exactly once, and before the ticket holder is
+    /// woken, so a caller that saw its batch finish also sees it counted.
+    fn finish_sub(&self, outcome: Result<(), ServeError>, stats: &StatsInner) {
         let mut p = self.progress.lock().unwrap();
         // The exactly-once backstop: a requeued sub-batch served twice, or
         // one harvested from a live worker, would drive `remaining`
@@ -515,40 +434,28 @@ impl BatchState {
             p.remaining > 0,
             "sub-batch finished twice — a batch would be double-answered"
         );
-        let mut first_failure = None;
         if let Err(e) = outcome {
             if p.failed.is_none() {
-                p.failed = Some(e.clone());
-                first_failure = Some(e);
+                stats.count_rejection(&e);
+                p.failed = Some(e);
             }
         }
         p.remaining -= 1;
-        let completed = p.remaining == 0 && p.failed.is_none();
+        if p.remaining == 0 && p.failed.is_none() {
+            stats.answered.fetch_add(1, Ordering::Relaxed);
+            reach_obs::counter_add("serve.answered", 1);
+        }
         if p.remaining == 0 || p.failed.is_some() {
             self.done.notify_all();
         }
-        FinishOutcome {
-            first_failure,
-            completed,
-        }
     }
-}
-
-/// What one [`BatchState::finish_sub`] call did to its batch.
-struct FinishOutcome {
-    /// `Some(e)` iff this call recorded the batch's **first** failure —
-    /// the caller should count the batch rejected (once).
-    first_failure: Option<ServeError>,
-    /// True iff this call completed the batch successfully — the caller
-    /// should count the batch answered (once).
-    completed: bool,
 }
 
 /// A pending batch returned by [`QueryService::submit_batch_async`].
 ///
 /// [`BatchTicket::wait`] blocks until every result is in (or the batch
 /// failed) and returns the answers **in submission order** — position `i`
-/// answers the `i`-th submitted query, whatever shard computed it.
+/// answers the `i`-th submitted query, whatever worker computed it.
 ///
 /// Dropping a ticket without waiting is allowed: the batch still runs to
 /// completion (admitted work is never cancelled mid-compute), its results
@@ -648,14 +555,14 @@ impl BatchTicket {
     }
 }
 
-/// The shard-local work unit: the slice of one batch owned by one shard.
+/// The per-worker work unit: the slice of one batch routed to one worker.
 /// Queued and held behind an `Arc` so a supervised worker's in-flight
 /// claim and the queue can share it without copying.
 pub(crate) struct SubBatch {
     state: Arc<BatchState>,
     deadline: Option<Instant>,
     admitted_at: Instant,
-    /// Queries routed to this shard (source vertices it owns).
+    /// Queries routed to this worker (`s mod workers` equals its id).
     queries: Vec<(VertexId, VertexId)>,
     /// Submission position of each query, for order restoration.
     positions: Vec<u32>,
@@ -792,12 +699,8 @@ impl ShardQueue {
 
 /// State shared between submitters and workers.
 struct Shared {
-    /// The served epoch: swapped atomically, pinned per batch.
-    epochs: Swappable<Epoch>,
-    /// The fixed vertex-partitioning; every epoch is resharded by it so
-    /// routing decisions stay valid across swaps.
-    partition: Partition,
-    cache: Option<ShardedLruCache>,
+    /// The served backing: swapped atomically, pinned per batch.
+    epochs: Swappable<Arc<dyn IndexSource>>,
     queues: Vec<ShardQueue>,
     stats: StatsInner,
     /// Admission sequence number, indexing the `serve.queue.depth` series.
@@ -826,12 +729,12 @@ impl Shared {
         let pressure = self.pressure();
         let current = self.degrade_tier.load(Ordering::Relaxed);
         let mut tier = current;
-        if pressure >= cfg.cache_only_at {
+        if pressure >= cfg.shed_normal_at {
             tier = 2;
         } else if pressure >= cfg.shed_low_at {
             tier = tier.max(1);
         }
-        if tier == 2 && pressure < cfg.cache_only_at - cfg.resume_margin {
+        if tier == 2 && pressure < cfg.shed_normal_at - cfg.resume_margin {
             tier = 1;
         }
         if tier == 1 && pressure < cfg.shed_low_at - cfg.resume_margin {
@@ -845,7 +748,7 @@ impl Shared {
     }
 }
 
-/// The concurrent, shard-aware reachability query service. See the crate
+/// The concurrent reachability query service. See the crate
 /// docs for the design and [`ServeConfig`] for the knobs.
 pub struct QueryService {
     shared: Arc<Shared>,
@@ -858,66 +761,27 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Starts a service over `index` with the paper's id-modulo
-    /// vertex-partitioning at `config.workers` shards.
+    /// Starts a service over a decoded `index`. The index is served in
+    /// place, exactly like any other [`IndexSource`]: no label copy.
     pub fn start(index: Arc<ReachIndex>, config: ServeConfig) -> Self {
-        let partition = Partition::modulo(config.workers.max(1));
-        QueryService::start_with_partition(index, partition, config)
+        QueryService::start_with_source(index, config)
     }
 
-    /// Starts a service with an explicit vertex-partitioning; the
-    /// partition's node count must equal `config.workers`.
-    pub fn start_with_partition(
-        index: Arc<ReachIndex>,
-        partition: Partition,
-        config: ServeConfig,
-    ) -> Self {
-        assert!(
-            partition.covers(index.num_vertices()),
-            "partition does not cover the index's vertices"
-        );
-        let labels = ShardedLabels::build(&index, partition.clone());
-        QueryService::start_with_epoch(Epoch::Ram { index, labels }, partition, config)
-    }
-
-    /// Starts a service over any [`IndexSource`] — a compressed
-    /// [`CompressedIndex`](reach_index::CompressedIndex), an out-of-core
-    /// [`MmapIndex`](reach_index::MmapIndex), or a plain decoded index.
-    ///
-    /// Source-backed epochs skip the sharded-label rebuild: every worker
-    /// answers from the shared source, so start and swap are O(1) in the
-    /// index size (mmap-backed serving would otherwise decode the file
-    /// it is trying not to hold in memory). [`QueryService::index`] and
-    /// [`QueryService::index_tagged`] are unavailable on this form —
-    /// witness paths use [`QueryService::source_tagged`] instead.
+    /// Starts a service over any [`IndexSource`] — a decoded
+    /// [`ReachIndex`], a compressed
+    /// [`CompressedIndex`](reach_index::CompressedIndex), or an
+    /// out-of-core [`MmapIndex`](reach_index::MmapIndex). Every worker
+    /// answers from the one shared source, so start and swap are O(1) in
+    /// the index size.
     pub fn start_with_source(source: Arc<dyn IndexSource>, config: ServeConfig) -> Self {
-        let partition = Partition::modulo(config.workers.max(1));
-        QueryService::start_with_epoch(Epoch::Source(source), partition, config)
-    }
-
-    fn start_with_epoch(epoch: Epoch, partition: Partition, config: ServeConfig) -> Self {
         assert!(config.workers >= 1, "a service needs at least one worker");
         assert!(config.queue_capacity >= 1, "queue capacity must be >= 1");
-        assert_eq!(
-            partition.num_nodes(),
-            config.workers,
-            "one worker per label shard"
-        );
-        let cache = (config.cache_capacity > 0).then(|| {
-            ShardedLruCache::new(
-                config.cache_capacity,
-                config.cache_shards,
-                config.cache_seed,
-            )
-        });
         let resilience = config
             .resilience
             .clone()
             .map(|cfg| Resilience::new(cfg, config.workers));
         let shared = Arc::new(Shared {
-            epochs: Swappable::new(epoch),
-            partition,
-            cache,
+            epochs: Swappable::new(source),
             queues: (0..config.workers)
                 .map(|_| ShardQueue::new(config.queue_capacity))
                 .collect(),
@@ -964,126 +828,67 @@ impl QueryService {
         }
     }
 
-    /// The currently served index (the latest swapped-in generation).
-    ///
-    /// # Panics
-    ///
-    /// On a source-backed service ([`QueryService::start_with_source`]):
-    /// there is no decoded [`ReachIndex`] to hand out. Use
-    /// [`QueryService::source_tagged`] there.
-    pub fn index(&self) -> Arc<ReachIndex> {
-        match self.shared.epochs.load().value() {
-            Epoch::Ram { index, .. } => Arc::clone(index),
-            Epoch::Source(_) => {
-                panic!("index() is unavailable on a source-backed service; use source_tagged()")
-            }
-        }
-    }
-
-    /// The generation currently being served: 0 at start, +1 per
-    /// [`QueryService::swap_index`]. Batches already in flight may still
-    /// be answering under an earlier generation.
+    /// The generation currently being served: 0 at start, +1 per swap.
+    /// Batches already in flight may still be answering under an earlier
+    /// generation.
     pub fn generation(&self) -> u64 {
         self.shared.epochs.generation()
     }
 
-    /// The currently served index together with its generation, read from
-    /// **one** epoch load — unlike calling [`QueryService::index`] and
-    /// [`QueryService::generation`] separately, the pair cannot straddle a
-    /// concurrent [`QueryService::swap_index`]. The wire server's witness
-    /// path snapshots its epoch through this so every witness response is
-    /// internally consistent and correctly generation-tagged.
-    pub fn index_tagged(&self) -> (Arc<ReachIndex>, u64) {
-        let epoch = self.shared.epochs.load();
-        match epoch.value() {
-            Epoch::Ram { index, .. } => (Arc::clone(index), epoch.generation()),
-            Epoch::Source(_) => {
-                panic!(
-                    "index_tagged() is unavailable on a source-backed service; use source_tagged()"
-                )
-            }
-        }
-    }
-
-    /// The currently served backing as an [`IndexSource`], with its
-    /// generation, from **one** epoch load — the backing-agnostic
-    /// counterpart of [`QueryService::index_tagged`], and the only
-    /// consistent snapshot on a source-backed service. The wire server's
-    /// witness path answers through this.
+    /// The currently served backing with its generation, from **one**
+    /// epoch load — unlike calling [`QueryService::generation`]
+    /// separately, the pair cannot straddle a concurrent swap. The wire
+    /// server's witness path answers through this.
     pub fn source_tagged(&self) -> (Arc<dyn IndexSource>, u64) {
         let epoch = self.shared.epochs.load();
-        (epoch.value().as_source(), epoch.generation())
+        (Arc::clone(epoch.value()), epoch.generation())
     }
 
-    /// Atomically replaces the served index with `index`, rebuilt into a
-    /// fresh sharded label store under the service's partition, and
-    /// returns the new generation number.
-    ///
-    /// The swap never drains and never blocks queries: batches whose
-    /// compute already pinned the old epoch finish on it (the old index
-    /// stays alive until its last batch drops it), batches still queued
-    /// pin the new epoch at pickup, and every batch is answered entirely
-    /// by one generation either way. The result cache needs no flush —
-    /// the generation is part of its key.
+    /// Atomically replaces the served index with a decoded `index` and
+    /// returns the new generation number — [`QueryService::swap_source`]
+    /// for a [`ReachIndex`].
     ///
     /// # Panics
     ///
-    /// If the service runs an explicit [`Partition`] whose assignment
-    /// table does not cover the new index's vertices (the id-modulo
-    /// default covers any vertex count) — or if an active
-    /// [`ServeFaultPlan`](crate::fault::ServeFaultPlan) injects a swap
-    /// failure (chaos drivers should call
+    /// If an active [`ServeFaultPlan`](crate::fault::ServeFaultPlan)
+    /// injects a swap failure (chaos drivers should call
     /// [`QueryService::try_swap_index`] instead).
     pub fn swap_index(&self, index: Arc<ReachIndex>) -> u64 {
-        self.try_swap_index(index)
-            .expect("swap install failed by injected fault; use try_swap_index in chaos runs")
+        self.swap_source(index)
     }
 
     /// [`QueryService::swap_index`] with injected swap failures surfaced
-    /// as [`ServeError::SwapFailed`] instead of a panic. A failed install
-    /// is **atomic-nothing**: the failure coin is drawn before any build
-    /// or install work, the generation does not advance, and the previous
-    /// epoch keeps serving untouched.
+    /// as [`ServeError::SwapFailed`] instead of a panic; see
+    /// [`QueryService::try_swap_source`].
     pub fn try_swap_index(&self, index: Arc<ReachIndex>) -> Result<u64, ServeError> {
-        assert!(
-            self.shared.partition.covers(index.num_vertices()),
-            "partition does not cover the new index's vertices"
-        );
-        self.check_swap_fault()?;
-        let t0 = Instant::now();
-        let labels = ShardedLabels::build(&index, self.shared.partition.clone());
-        Ok(self.install_epoch(Epoch::Ram { index, labels }, t0))
+        self.try_swap_source(index)
     }
 
     /// Atomically replaces the served backing with any [`IndexSource`]
-    /// — e.g. hot-swapping to a freshly written compressed or
-    /// mmap-backed v2 file. Same epoch semantics as
-    /// [`QueryService::swap_index`]: no drain, batches pin one
-    /// generation end-to-end, the cache keys on the generation.
-    /// Ram- and source-backed epochs may alternate freely over a
-    /// service's lifetime.
+    /// and returns the new generation number.
+    ///
+    /// The swap never drains and never blocks queries: batches whose
+    /// compute already pinned the old epoch finish on it (the old backing
+    /// stays alive until its last batch drops it), batches still queued
+    /// pin the new epoch at pickup, and every batch is answered entirely
+    /// by one generation either way. Backing kinds may alternate freely
+    /// over a service's lifetime.
     ///
     /// # Panics
     ///
-    /// Like [`QueryService::swap_index`], if an active fault plan
-    /// injects a swap failure; chaos drivers use
+    /// If an active fault plan injects a swap failure; chaos drivers use
     /// [`QueryService::try_swap_source`].
     pub fn swap_source(&self, source: Arc<dyn IndexSource>) -> u64 {
         self.try_swap_source(source)
             .expect("swap install failed by injected fault; use try_swap_source in chaos runs")
     }
 
-    /// [`QueryService::swap_source`] with injected swap failures
-    /// surfaced as [`ServeError::SwapFailed`]; atomic-nothing on
-    /// failure, like [`QueryService::try_swap_index`].
+    /// [`QueryService::swap_source`] with injected swap failures surfaced
+    /// as [`ServeError::SwapFailed`]. A failed install is
+    /// **atomic-nothing**: the failure coin is drawn before any install
+    /// work, the generation does not advance, and the previous epoch
+    /// keeps serving untouched.
     pub fn try_swap_source(&self, source: Arc<dyn IndexSource>) -> Result<u64, ServeError> {
-        self.check_swap_fault()?;
-        let t0 = Instant::now();
-        Ok(self.install_epoch(Epoch::Source(source), t0))
-    }
-
-    /// Draws the chaos swap-failure coin before any install work.
-    fn check_swap_fault(&self) -> Result<(), ServeError> {
         if let Some(res) = &self.shared.resilience {
             if res.draw_swap_failure() {
                 self.shared
@@ -1096,13 +901,8 @@ impl QueryService {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// Installs a built epoch and books the swap; `t0` marks when the
-    /// install work (label resharding included, for Ram) began.
-    fn install_epoch(&self, epoch: Epoch, t0: Instant) -> u64 {
-        let generation = self.shared.epochs.swap(epoch);
+        let t0 = Instant::now();
+        let generation = self.shared.epochs.swap(source);
         self.shared.stats.swaps.fetch_add(1, Ordering::Relaxed);
         self.shared
             .stats
@@ -1110,10 +910,10 @@ impl QueryService {
             .store(generation, Ordering::Relaxed);
         reach_obs::counter_add("serve.swap.count", 1);
         reach_obs::record("serve.swap.install_ns", t0.elapsed().as_nanos() as u64);
-        generation
+        Ok(generation)
     }
 
-    /// Worker-thread (= shard) count.
+    /// Worker-thread count.
     pub fn num_workers(&self) -> usize {
         self.config.workers
     }
@@ -1135,10 +935,11 @@ impl QueryService {
     }
 
     /// Non-blocking submission: validates, applies admission control, and
-    /// routes each query to the shard owning its source. Errors returned
-    /// here ([`ServeError::Overloaded`], [`ServeError::DeadlineExceeded`]
-    /// for an already-expired deadline, [`ServeError::InvalidVertex`])
-    /// reject the whole batch — no partial results are ever produced.
+    /// routes each query to worker `s mod workers` by its source `s`.
+    /// Errors returned here ([`ServeError::Overloaded`],
+    /// [`ServeError::DeadlineExceeded`] for an already-expired deadline,
+    /// [`ServeError::InvalidVertex`]) reject the whole batch — no partial
+    /// results are ever produced.
     pub fn submit_batch_async(
         &self,
         queries: &[(VertexId, VertexId)],
@@ -1198,53 +999,25 @@ impl QueryService {
         // Degradation tiers: shed by priority before touching any queue.
         if let Some(cfg) = &self.config.degrade {
             let tier = shared.update_degrade_tier(cfg);
-            if tier >= 1 && opts.priority == Priority::Low {
-                return reject(ServeError::Degraded {
-                    tier: DegradeTier::SheddingLow,
-                });
-            }
-            if tier >= 2 && opts.priority == Priority::Normal {
-                // Cache-only: answer without workers iff every query hits
-                // the result cache at the current generation; shed
-                // otherwise. Hits are real answers (the cache is keyed on
-                // the generation), so the batch counts as answered.
-                let generation = epoch.generation();
-                let cached: Option<Vec<bool>> = shared.cache.as_ref().and_then(|c| {
-                    queries
-                        .iter()
-                        .map(|&(s, t)| c.get(generation, s, t))
-                        .collect()
-                });
-                let Some(answers) = cached else {
-                    return reject(ServeError::Degraded {
-                        tier: DegradeTier::CacheOnly,
-                    });
-                };
-                let state = Arc::new(BatchState::new(queries.len(), 0));
-                *state.results.lock().unwrap() = answers;
-                let _ = state.pinned.set(epoch);
-                let n = queries.len() as u64;
-                shared.stats.cache_hits.fetch_add(n, Ordering::Relaxed);
-                shared.stats.queries.fetch_add(n, Ordering::Relaxed);
-                shared.stats.answered.fetch_add(1, Ordering::Relaxed);
-                reach_obs::counter_add("serve.cache.hits", n);
-                reach_obs::counter_add("serve.queries", n);
-                reach_obs::counter_add("serve.degrade.cache_only", 1);
-                reach_obs::counter_add("serve.answered", 1);
-                return Ok(BatchTicket { state });
+            let shed = match opts.priority {
+                Priority::Low if tier >= 1 => Some(DegradeTier::SheddingLow),
+                Priority::Normal if tier >= 2 => Some(DegradeTier::SheddingNormal),
+                _ => None,
+            };
+            if let Some(tier) = shed {
+                return reject(ServeError::Degraded { tier });
             }
         }
 
-        // Route queries to the shard owning each source vertex — a pure
-        // function of the fixed partition, so routing stays valid no
-        // matter which epoch the batch later pins. Each shard gets its
-        // slice of the batch plus the submission positions its answers
-        // must land at.
-        type RoutedShard = (Vec<(VertexId, VertexId)>, Vec<u32>);
-        let shards = shared.partition.num_nodes();
-        let mut routed: Vec<RoutedShard> = (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
+        // Route each query to worker `s mod workers` by its source vertex
+        // `s`, so a large batch spreads over every worker. Each worker
+        // gets its slice of the batch plus the submission positions its
+        // answers must land at.
+        type Routed = (Vec<(VertexId, VertexId)>, Vec<u32>);
+        let workers = shared.queues.len();
+        let mut routed: Vec<Routed> = (0..workers).map(|_| (Vec::new(), Vec::new())).collect();
         for (i, &(s, t)) in queries.iter().enumerate() {
-            let k = shared.partition.node_of(s);
+            let k = s as usize % workers;
             routed[k].0.push((s, t));
             routed[k].1.push(i as u32);
         }
@@ -1401,11 +1174,10 @@ impl Drop for QueryService {
     }
 }
 
-/// One worker: drain the shard's queue until close, answering each
-/// sub-batch shard-locally.
+/// One worker: drain its queue until close, answering each sub-batch.
 fn worker_loop(shared: &Shared, shard: usize) {
     while let Some(sub) = shared.queues[shard].pop() {
-        serve_sub_batch(shared, shard, &sub);
+        serve_sub_batch(shared, &sub);
     }
 }
 
@@ -1504,7 +1276,7 @@ fn supervised_worker_loop(
             std::thread::sleep(delay);
         }
         heartbeat.store(res.now_ns(), Ordering::Release);
-        serve_sub_batch(shared, shard, &sub);
+        serve_sub_batch(shared, &sub);
         *inflight.lock().unwrap() = None;
     }
 }
@@ -1602,17 +1374,18 @@ fn record_recovery(shared: &Shared, res: &Resilience, latency_ns: u64) {
     reach_obs::record("serve.respawn.latency_ns", latency_ns);
 }
 
-fn serve_sub_batch(shared: &Shared, shard: usize, sub: &SubBatch) {
+fn serve_sub_batch(shared: &Shared, sub: &SubBatch) {
     // A sibling sub-batch already failed the batch (overload poisoning):
     // just account for this one, the ticket holder has its error.
     if sub.state.failed_already() {
-        finish_sub_batch(shared, sub, Ok(()));
+        sub.state.finish_sub(Ok(()), &shared.stats);
         return;
     }
     // Per-batch deadline, re-checked at pickup time: queue wait counts.
     if let Some(dl) = sub.deadline {
         if Instant::now() >= dl {
-            finish_sub_batch(shared, sub, Err(ServeError::DeadlineExceeded));
+            sub.state
+                .finish_sub(Err(ServeError::DeadlineExceeded), &shared.stats);
             return;
         }
     }
@@ -1635,83 +1408,40 @@ fn serve_sub_batch(shared: &Shared, shard: usize, sub: &SubBatch) {
         .flat_map(|&(s, t)| [s, t])
         .find(|&v| v as usize >= pinned_n)
     {
-        finish_sub_batch(
-            shared,
-            sub,
-            Err(ServeError::InvalidVertex {
-                vertex: v,
-                num_vertices: pinned_n,
-            }),
-        );
+        let err = ServeError::InvalidVertex {
+            vertex: v,
+            num_vertices: pinned_n,
+        };
+        sub.state.finish_sub(Err(err), &shared.stats);
         return;
     }
-    let mut answers = Vec::with_capacity(sub.queries.len());
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for &(s, t) in &sub.queries {
-        let answer = match shared.cache.as_ref().and_then(|c| c.get(generation, s, t)) {
-            Some(cached) => {
-                hits += 1;
-                cached
-            }
-            None => {
-                let (computed, scanned) = backing.scan(shard, s, t);
-                reach_obs::record("serve.query.scan_len", scanned as u64);
-                if let Some(c) = &shared.cache {
-                    misses += 1;
-                    c.insert(generation, s, t, computed);
-                }
-                computed
-            }
-        };
-        reach_obs::record(
-            "serve.request.latency_ns",
-            sub.admitted_at.elapsed().as_nanos() as u64,
-        );
-        answers.push(answer);
-    }
-    reach_obs::series_add(
-        "serve.swap.queries",
-        generation as usize,
-        answers.len() as u64,
-    );
-    shared
-        .stats
+    // Answer outside the results lock, so sibling sub-batches of one
+    // batch compute in parallel on their workers.
+    let answers: Vec<bool> = sub
         .queries
-        .fetch_add(answers.len() as u64, Ordering::Relaxed);
-    reach_obs::counter_add("serve.queries", answers.len() as u64);
-    if hits > 0 {
-        shared.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        reach_obs::counter_add("serve.cache.hits", hits);
-    }
-    if misses > 0 {
-        shared
-            .stats
-            .cache_misses
-            .fetch_add(misses, Ordering::Relaxed);
-        reach_obs::counter_add("serve.cache.misses", misses);
-    }
+        .iter()
+        .map(|&(s, t)| {
+            let (answer, scanned) = backing.query_scan(s, t);
+            reach_obs::record("serve.query.scan_len", scanned as u64);
+            answer
+        })
+        .collect();
     {
         let mut results = sub.state.results.lock().unwrap();
-        for (answer, &pos) in answers.iter().zip(&sub.positions) {
-            results[pos as usize] = *answer;
+        for (&answer, &pos) in answers.iter().zip(&sub.positions) {
+            results[pos as usize] = answer;
         }
     }
-    finish_sub_batch(shared, sub, Ok(()));
-}
-
-/// Finishes one sub-batch and settles whatever terminal accounting that
-/// implies for its batch: the first failure counts the batch rejected,
-/// the successful completion counts it answered — each exactly once, on
-/// whichever worker happens to trigger it.
-fn finish_sub_batch(shared: &Shared, sub: &SubBatch, outcome: Result<(), ServeError>) {
-    let fin = sub.state.finish_sub(outcome);
-    if let Some(err) = fin.first_failure {
-        shared.stats.count_rejection(&err);
-    }
-    if fin.completed {
-        shared.stats.answered.fetch_add(1, Ordering::Relaxed);
-        reach_obs::counter_add("serve.answered", 1);
-    }
+    // One clock read per sub-batch, never per query.
+    reach_obs::record(
+        "serve.request.latency_ns",
+        sub.admitted_at.elapsed().as_nanos() as u64,
+    );
+    let answered = sub.queries.len() as u64;
+    reach_obs::series_add("serve.swap.queries", generation as usize, answered);
+    shared.stats.queries.fetch_add(answered, Ordering::Relaxed);
+    reach_obs::counter_add("serve.queries", answered);
+    sub.state.finish_sub(Ok(()), &shared.stats);
 }
 
 #[cfg(test)]
@@ -1866,35 +1596,6 @@ mod tests {
         assert_eq!(t1.wait().unwrap(), vec![idx.query(1, 3)]);
         let stats = svc.shutdown();
         assert_eq!(stats.queries, 1, "poisoned sub-batch skipped its compute");
-    }
-
-    #[test]
-    fn cache_hits_accumulate_without_changing_answers() {
-        let g = fixtures::paper_graph();
-        let idx = closure_index(&g);
-        let svc = QueryService::start(Arc::clone(&idx), ServeConfig::with_workers(2));
-        let batch: Vec<(VertexId, VertexId)> = vec![(1, 6), (8, 0), (1, 6), (1, 6)];
-        let expect: Vec<bool> = batch.iter().map(|&(s, t)| idx.query(s, t)).collect();
-        for _ in 0..3 {
-            assert_eq!(svc.submit_batch(&batch, None).unwrap(), expect);
-        }
-        let stats = svc.shutdown();
-        assert_eq!(stats.cache_hits + stats.cache_misses, 12);
-        assert_eq!(stats.cache_misses, 2, "only (1,6) and (8,0) ever scan");
-        assert!(stats.cache_hit_rate() > 0.8);
-    }
-
-    #[test]
-    fn no_cache_config_never_probes() {
-        let idx = closure_index(&fixtures::diamond());
-        let svc = QueryService::start(idx, ServeConfig::with_workers(1).no_cache());
-        for _ in 0..4 {
-            svc.reachable(0, 3).unwrap();
-        }
-        let stats = svc.shutdown();
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.cache_misses, 0);
-        assert_eq!(stats.queries, 4);
     }
 
     #[test]
@@ -2120,7 +1821,7 @@ mod tests {
         let idx = closure_index(&fixtures::diamond());
         let mut cfg = ServeConfig::with_workers(1).with_degrade(DegradeConfig {
             shed_low_at: 0.5,
-            cache_only_at: 0.75,
+            shed_normal_at: 0.75,
             resume_margin: 0.25,
         });
         cfg.queue_capacity = 4;
@@ -2159,29 +1860,29 @@ mod tests {
     }
 
     #[test]
-    fn degrade_tier2_serves_normal_work_cache_only() {
+    fn degrade_tier2_sheds_normal_work_and_admits_high() {
         let (idx, svc) = degrade_setup();
-        // Warm the cache at generation 0.
-        assert_eq!(svc.reachable(0, 3).unwrap(), idx.query(0, 3));
         svc.pause();
         let tickets: Vec<_> = (0..3)
             .map(|_| svc.submit_batch_async(&[(1, 2)], None).unwrap())
             .collect();
-        // Pressure 0.75 ⇒ tier 2: Normal work answers from cache or sheds.
-        let (answers, generation) = svc
-            .submit_batch_opts(&[(0, 3)], BatchOptions::default())
-            .unwrap()
-            .wait_tagged()
-            .unwrap();
-        assert_eq!(answers, vec![idx.query(0, 3)], "cache-only hit");
-        assert_eq!(generation, 0);
+        // Pressure 0.75 ⇒ tier 2: Normal and Low work are shed.
         let err = svc
-            .submit_batch_opts(&[(2, 3)], BatchOptions::default())
+            .submit_batch_opts(&[(0, 3)], BatchOptions::default())
             .unwrap_err();
         assert_eq!(
             err,
             ServeError::Degraded {
-                tier: crate::DegradeTier::CacheOnly
+                tier: crate::DegradeTier::SheddingNormal
+            }
+        );
+        let err = svc
+            .submit_batch_opts(&[(0, 3)], BatchOptions::priority(Priority::Low))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::Degraded {
+                tier: crate::DegradeTier::SheddingLow
             }
         );
         // High priority still reaches the workers.
@@ -2190,11 +1891,12 @@ mod tests {
             .unwrap();
         svc.resume();
         for ticket in tickets {
-            ticket.wait().unwrap();
+            assert_eq!(ticket.wait().unwrap(), vec![idx.query(1, 2)]);
         }
         assert_eq!(t.wait().unwrap(), vec![idx.query(2, 3)]);
         let stats = svc.shutdown();
-        assert_eq!(stats.shed, 1);
+        assert_eq!(stats.shed, 2);
+        assert_eq!(stats.answered, 4);
         assert!(stats.is_balanced());
     }
 
@@ -2209,7 +1911,7 @@ mod tests {
         for (margin, still_shedding_when_drained) in [(0.5, true), (0.25, false)] {
             let mut cfg = ServeConfig::with_workers(1).with_degrade(DegradeConfig {
                 shed_low_at: 0.5,
-                cache_only_at: 2.0, // out of reach; tier 2 not under test
+                shed_normal_at: 2.0, // out of reach; tier 2 not under test
                 resume_margin: margin,
             });
             cfg.queue_capacity = 4;
@@ -2232,22 +1934,5 @@ mod tests {
             let stats = svc.shutdown();
             assert!(stats.is_balanced());
         }
-    }
-
-    #[test]
-    fn explicit_partition_routes_by_ownership() {
-        let g = fixtures::paper_graph();
-        let idx = closure_index(&g);
-        let assignment: Vec<u16> = (0..11).map(|v| (v % 3) as u16).collect();
-        let part = Partition::explicit(3, assignment);
-        let mut cfg = ServeConfig::with_workers(3);
-        cfg.cache_capacity = 0;
-        let svc = QueryService::start_with_partition(Arc::clone(&idx), part, cfg);
-        for s in g.vertices() {
-            for t in g.vertices() {
-                assert_eq!(svc.reachable(s, t).unwrap(), idx.query(s, t));
-            }
-        }
-        svc.shutdown();
     }
 }

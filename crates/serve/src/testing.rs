@@ -3,8 +3,7 @@
 //! The property under test: while [`QueryService::swap_index`] cycles
 //! through a sequence of indices, **every** batch's answers must equal
 //! direct [`ReachIndex::query`] calls on the one generation the batch was
-//! pinned to — no torn batches, no stale cache hits, no blocking of
-//! in-flight work. This module packages the driver-plus-submitters
+//! pinned to — no torn batches, no blocking of in-flight work. This module packages the driver-plus-submitters
 //! machinery so the integration suite (`tests/hot_swap.rs`), the
 //! `swap_bench` load harness, and future stress tests all assert the same
 //! invariant the same way.
@@ -47,10 +46,8 @@ pub fn closure_index(g: &DiGraph) -> Arc<ReachIndex> {
 /// Knobs of [`run_swap_consistency`].
 #[derive(Clone, Debug)]
 pub struct SwapHarnessConfig {
-    /// Service worker threads (= label shards).
+    /// Service worker threads.
     pub workers: usize,
-    /// Whether the result cache is on (its default capacity) or off.
-    pub cache: bool,
     /// The driver performs a swap each time this many more batches have
     /// completed — the swap cadence. Must be ≥ 1.
     pub swap_every: usize,
@@ -62,7 +59,6 @@ impl Default for SwapHarnessConfig {
     fn default() -> Self {
         SwapHarnessConfig {
             workers: 2,
-            cache: true,
             swap_every: 4,
             submitters: 2,
         }
@@ -104,11 +100,10 @@ pub fn run_swap_consistency(
     assert!(cfg.swap_every >= 1, "swap cadence must be >= 1");
     assert!(cfg.submitters >= 1, "need at least one submitter");
     let k = indices.len();
-    let mut serve_cfg = ServeConfig::with_workers(cfg.workers);
-    if !cfg.cache {
-        serve_cfg = serve_cfg.no_cache();
-    }
-    let svc = QueryService::start(Arc::clone(&indices[0]), serve_cfg);
+    let svc = QueryService::start(
+        Arc::clone(&indices[0]),
+        ServeConfig::with_workers(cfg.workers),
+    );
 
     let completed = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
@@ -208,10 +203,8 @@ pub fn run_swap_consistency(
 /// fault plan, supervision cadence, and an optional client retry policy.
 #[derive(Clone, Debug)]
 pub struct ChaosHarnessConfig {
-    /// Service worker threads (= label shards).
+    /// Service worker threads.
     pub workers: usize,
-    /// Whether the result cache is on (its default capacity) or off.
-    pub cache: bool,
     /// Swap cadence in completed batches; `0` disables the swap driver
     /// (pure fault-recovery run).
     pub swap_every: usize,
@@ -234,7 +227,6 @@ impl Default for ChaosHarnessConfig {
     fn default() -> Self {
         ChaosHarnessConfig {
             workers: 2,
-            cache: true,
             swap_every: 4,
             submitters: 2,
             fault_plan: ServeFaultPlan::new(0),
@@ -288,13 +280,10 @@ pub fn run_chaos_consistency(
     assert!(!indices.is_empty(), "need at least one index");
     assert!(cfg.submitters >= 1, "need at least one submitter");
     let k = indices.len();
-    let mut serve_cfg = ServeConfig::with_workers(cfg.workers).with_resilience(ResilienceConfig {
+    let serve_cfg = ServeConfig::with_workers(cfg.workers).with_resilience(ResilienceConfig {
         fault_plan: cfg.fault_plan.clone(),
         supervisor: cfg.supervisor.clone(),
     });
-    if !cfg.cache {
-        serve_cfg = serve_cfg.no_cache();
-    }
     let svc = QueryService::start(Arc::clone(&indices[0]), serve_cfg);
 
     let completed = AtomicUsize::new(0);

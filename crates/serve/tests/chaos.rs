@@ -7,7 +7,7 @@
 //! the double-finish panic, and a miscounted one fails the
 //! `submitted == answered + rejected + shed` balance asserted at
 //! shutdown. The property sweep covers fault seeds × 1/2/4/8 workers ×
-//! cache on/off × direct-vs-retrying clients.
+//! direct-vs-retrying clients.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,7 +45,6 @@ proptest! {
     fn no_lost_or_double_answers_under_any_recoverable_schedule(
         fault_seed in 0u64..1_000,
         workers_idx in 0usize..4,
-        cache in any::<bool>(),
         with_retry in any::<bool>(),
     ) {
         let workers = WORKERS[workers_idx];
@@ -60,7 +59,6 @@ proptest! {
             &batches,
             &ChaosHarnessConfig {
                 workers,
-                cache,
                 swap_every: 4,
                 submitters: 2,
                 fault_plan: plan,

@@ -1,12 +1,12 @@
 //! The hot-swap contract, pinned differentially: while `swap_index`
-//! races against submission, pickup, caching, overload, and shutdown,
+//! races against submission, pickup, overload, and shutdown,
 //! every batch must be answered **entirely** by the single index
 //! generation it pinned — each answer equal to `ReachIndex::query` on
 //! that generation — and a swap must never block or drain in-flight
 //! work. The sweep covers 3 evolving graph sequences × 2 swap cadences ×
-//! 1/2/4/8 workers × cache on/off; targeted tests nail the individual
-//! interleavings (pin-at-pickup, swap under overload, swap during
-//! shutdown, shrinking swaps, stale-cache poisoning).
+//! 1/2/4/8 workers; targeted tests nail the individual interleavings
+//! (pin-at-pickup, swap under overload, swap during shutdown, shrinking
+//! swaps).
 
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ fn chunked(queries: Vec<(VertexId, VertexId)>, size: usize) -> Vec<Vec<(VertexId
     queries.chunks(size).map(<[_]>::to_vec).collect()
 }
 
-/// The acceptance sweep: sequences × cadences × worker counts × cache.
+/// The acceptance sweep: sequences × cadences × worker counts.
 /// Every batch's answers are asserted (inside the harness) against the
 /// generation it was pinned to; here we additionally require that swaps
 /// really happened and that multiple generations actually answered.
@@ -58,27 +58,24 @@ fn every_batch_is_answered_by_exactly_one_generation() {
         for swap_every in [2usize, 8] {
             let mut observed_across_runs = std::collections::BTreeSet::new();
             for workers in WORKERS {
-                for cache in [true, false] {
-                    let batches = chunked(workload(full, mix, 60 * 12, 0x5a + seq_i as u64), 12);
-                    let report = run_swap_consistency(
-                        &indices,
-                        &batches,
-                        &SwapHarnessConfig {
-                            workers,
-                            cache,
-                            swap_every,
-                            submitters: 2,
-                        },
-                    );
-                    assert_eq!(report.batches, 60, "{name}");
-                    assert_eq!(report.answers_checked, 60 * 12, "{name}");
-                    assert!(
-                        report.swaps >= 1,
-                        "{name}: driver must swap at cadence {swap_every}"
-                    );
-                    assert_eq!(report.stats.generation, report.swaps);
-                    observed_across_runs.extend(report.generations_observed);
-                }
+                let batches = chunked(workload(full, mix, 60 * 12, 0x5a + seq_i as u64), 12);
+                let report = run_swap_consistency(
+                    &indices,
+                    &batches,
+                    &SwapHarnessConfig {
+                        workers,
+                        swap_every,
+                        submitters: 2,
+                    },
+                );
+                assert_eq!(report.batches, 60, "{name}");
+                assert_eq!(report.answers_checked, 60 * 12, "{name}");
+                assert!(
+                    report.swaps >= 1,
+                    "{name}: driver must swap at cadence {swap_every}"
+                );
+                assert_eq!(report.stats.generation, report.swaps);
+                observed_across_runs.extend(report.generations_observed);
             }
             assert!(
                 observed_across_runs.len() >= 2,
@@ -102,7 +99,6 @@ proptest! {
         workload_seed in 0u64..1_000,
         swap_every in 1usize..6,
         batch_size in 1usize..24,
-        cache in proptest::bool::ANY,
     ) {
         let g = if graph_seed.is_multiple_of(2) {
             reach_datasets::generators::hierarchy(n, n * edge_factor, 0.8, graph_seed)
@@ -116,7 +112,7 @@ proptest! {
             let report = run_swap_consistency(
                 &indices,
                 &batches,
-                &SwapHarnessConfig { workers, cache, swap_every, submitters: 2 },
+                &SwapHarnessConfig { workers, swap_every, submitters: 2 },
             );
             prop_assert_eq!(report.answers_checked, 240);
         }
@@ -285,45 +281,6 @@ fn shrinking_swap_rejects_stranded_batches_with_typed_errors() {
     assert_eq!(generation, 1);
     assert_eq!(answers, vec![small.query(4, 7)]);
     svc.shutdown();
-}
-
-/// The cache cannot serve one generation's answer to another: pick a pair
-/// whose reachability *differs* between two slices, heat the cache on the
-/// old index, swap, and require the new answer immediately — then swap
-/// once more (back to the sparse labels) and require the old answer
-/// again, from a third, fresh cache key.
-#[test]
-fn swapping_never_serves_stale_cache_hits() {
-    let base = reach_datasets::generators::hierarchy(36, 110, 0.9, 41);
-    let slices = edge_fraction_slices(&base, 3, 9);
-    let sparse = closure_index(&slices[0]);
-    let dense = closure_index(slices.last().unwrap());
-    let n = base.num_vertices() as VertexId;
-    let (s, t) = (0..n)
-        .flat_map(|s| (0..n).map(move |t| (s, t)))
-        .find(|&(s, t)| !sparse.query(s, t) && dense.query(s, t))
-        .expect("an added edge must create a new reachable pair");
-
-    let svc = QueryService::start(Arc::clone(&sparse), ServeConfig::with_workers(2));
-    for _ in 0..3 {
-        assert!(!svc.reachable(s, t).unwrap(), "cold and cached: sparse");
-    }
-    svc.swap_index(Arc::clone(&dense));
-    for _ in 0..3 {
-        assert!(
-            svc.reachable(s, t).unwrap(),
-            "post-swap: dense, no stale hit"
-        );
-    }
-    svc.swap_index(Arc::clone(&sparse));
-    assert!(
-        !svc.reachable(s, t).unwrap(),
-        "second swap: generation 2 never reuses generation 0's entries"
-    );
-    let stats = svc.shutdown();
-    assert_eq!(stats.swaps, 2);
-    assert_eq!(stats.generation, 2);
-    assert!(stats.cache_hits >= 4, "repeats within a generation do hit");
 }
 
 /// Swap bookkeeping: generations are consecutive, `ServeStats` mirrors

@@ -5,13 +5,15 @@
 //!
 //! This is the integration seam the codec differential harness
 //! (`crates/index/tests/codec_differential.rs`) does not cover: epoch
-//! pinning, sharded routing of a shardless source, result caching keyed
-//! on generation, and the witness path through `source_tagged`.
+//! pinning, routing a batch over the workers, and the witness path
+//! through `source_tagged` — one serving path whatever the backing and
+//! whichever constructor or swap installed it.
 
 use std::sync::Arc;
 
-use reach_datasets::{negative_mix, standard_mixes, workload};
-use reach_index::{BloomConfig, CodecId, CompressedIndex, IndexSource, MmapIndex};
+use reach_datasets::{edge_fraction_slices, negative_mix, standard_mixes, workload};
+use reach_graph::VertexId;
+use reach_index::{BloomConfig, CodecId, CompressedIndex, IndexSource, MmapIndex, ReachIndex};
 use reach_serve::testing::closure_index;
 use reach_serve::{QueryService, ServeConfig};
 
@@ -27,7 +29,7 @@ fn test_graph() -> reach_graph::DiGraph {
 }
 
 /// Every backing kind serves the same answers through the full batch
-/// machinery, for every workload mix, with caching on and off.
+/// machinery, for every workload mix.
 #[test]
 fn service_answers_are_identical_across_source_kinds() {
     let g = test_graph();
@@ -55,30 +57,20 @@ fn service_answers_are_identical_across_source_kinds() {
 
     let mut mixes = standard_mixes();
     mixes.push(negative_mix());
-    for cache in [true, false] {
-        let mk_cfg = || {
-            let cfg = ServeConfig::with_workers(4);
-            if cache {
-                cfg
-            } else {
-                cfg.no_cache()
+    let baseline = QueryService::start(Arc::clone(&idx), ServeConfig::with_workers(4));
+    for (name, source) in &sources {
+        let svc = QueryService::start_with_source(Arc::clone(source), ServeConfig::with_workers(4));
+        for (mix_name, mix) in &mixes {
+            let queries = workload(&g, *mix, 400, 0xcafe);
+            for chunk in queries.chunks(64) {
+                let want = baseline.submit_batch(chunk, None).unwrap();
+                let got = svc.submit_batch(chunk, None).unwrap();
+                assert_eq!(got, want, "{name}/{mix_name}");
             }
-        };
-        let baseline = QueryService::start(Arc::clone(&idx), mk_cfg());
-        for (name, source) in &sources {
-            let svc = QueryService::start_with_source(Arc::clone(source), mk_cfg());
-            for (mix_name, mix) in &mixes {
-                let queries = workload(&g, *mix, 400, 0xcafe);
-                for chunk in queries.chunks(64) {
-                    let want = baseline.submit_batch(chunk, None).unwrap();
-                    let got = svc.submit_batch(chunk, None).unwrap();
-                    assert_eq!(got, want, "{name}/{mix_name}/cache={cache}");
-                }
-            }
-            svc.shutdown();
         }
-        baseline.shutdown();
+        svc.shutdown();
     }
+    baseline.shutdown();
     std::fs::remove_file(&path).ok();
 }
 
@@ -222,4 +214,127 @@ fn source_backed_service_validates_vertex_range() {
     ));
     assert_eq!(svc.submit_batch(&[(0, 0)], None).unwrap(), vec![true]);
     svc.shutdown();
+}
+
+/// Checks one served epoch against the index it should be serving:
+/// `source_tagged` reports `generation` and answers and witnesses like
+/// `expect`, and a batch submitted now is answered by that generation
+/// with `expect`'s answers.
+fn assert_serves(
+    svc: &QueryService,
+    expect: &ReachIndex,
+    generation: u64,
+    queries: &[(VertexId, VertexId)],
+) {
+    let (src, tagged) = svc.source_tagged();
+    assert_eq!(tagged, generation);
+    assert_eq!(src.num_vertices(), expect.num_vertices());
+    for &(s, t) in queries {
+        assert_eq!(src.query(s, t), expect.query(s, t), "q({s},{t})");
+        assert_eq!(
+            src.query_witness(s, t),
+            expect.query_witness(s, t),
+            "witness({s},{t}) at generation {generation}"
+        );
+    }
+    let (answers, answered_by) = svc
+        .submit_batch_async(queries, None)
+        .unwrap()
+        .wait_tagged()
+        .unwrap();
+    assert_eq!(answered_by, generation);
+    let want: Vec<bool> = queries.iter().map(|&(s, t)| expect.query(s, t)).collect();
+    assert_eq!(answers, want, "batch at generation {generation}");
+}
+
+/// Every constructor serves through the one source path: a service
+/// started from a decoded `ReachIndex` answers `source_tagged()` like one
+/// started from an encoded source, and no accessor panics on any backing.
+#[test]
+fn every_constructor_serves_through_source_tagged() {
+    let g = test_graph();
+    let idx = closure_index(&g);
+    let path = temp_ridx("ctor");
+    reach_index::save_index_v2(
+        &idx,
+        &path,
+        CodecId::DeltaVarint,
+        Some(BloomConfig::default()),
+    )
+    .unwrap();
+    let queries = workload(&g, standard_mixes()[1].1, 200, 5);
+
+    let services = [
+        (
+            "ram",
+            QueryService::start(Arc::clone(&idx), ServeConfig::with_workers(2)),
+        ),
+        (
+            "ram source",
+            QueryService::start_with_source(
+                Arc::clone(&idx) as Arc<dyn IndexSource>,
+                ServeConfig::with_workers(2),
+            ),
+        ),
+        (
+            "compressed",
+            QueryService::start_with_source(
+                Arc::new(CompressedIndex::build(&idx, CodecId::DeltaVarint, None)),
+                ServeConfig::with_workers(2),
+            ),
+        ),
+        (
+            "mmap",
+            QueryService::start_with_source(
+                Arc::new(MmapIndex::open(&path).unwrap()),
+                ServeConfig::with_workers(2),
+            ),
+        ),
+    ];
+    for (name, svc) in services {
+        assert_serves(&svc, &idx, 0, &queries);
+        // Every accessor, on every backing.
+        assert_eq!(svc.generation(), 0, "{name}");
+        assert_eq!(svc.num_workers(), 2, "{name}");
+        assert!(svc.recovery_log().is_empty(), "{name}");
+        assert_eq!(svc.stats().cache_hit_rate(), 0.0, "{name}");
+        assert!(!svc.source_tagged().0.describe().is_empty(), "{name}");
+        let stats = svc.shutdown();
+        assert_eq!(stats.queries, queries.len() as u64, "{name}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A ReachIndex → mmap → ReachIndex swap chain over three different
+/// indices (cumulative edge slices of one graph): at each generation the
+/// answers and witnesses equal `ReachIndex::query` on the index that
+/// generation installed.
+#[test]
+fn ram_mmap_ram_swap_chain_serves_each_generation_exactly() {
+    let base = test_graph();
+    let slices = edge_fraction_slices(&base, 3, 11);
+    let indices: Vec<Arc<ReachIndex>> = slices.iter().map(closure_index).collect();
+    assert!(
+        indices.windows(2).any(|w| w[0] != w[1]),
+        "the slices must differ, or the chain proves nothing"
+    );
+    let path = temp_ridx("chain");
+    reach_index::save_index_v2(
+        &indices[1],
+        &path,
+        CodecId::DeltaVarint,
+        Some(BloomConfig::default()),
+    )
+    .unwrap();
+    let queries = workload(&base, standard_mixes()[0].1, 300, 17);
+
+    let svc = QueryService::start(Arc::clone(&indices[0]), ServeConfig::with_workers(2));
+    assert_serves(&svc, &indices[0], 0, &queries);
+    let generation = svc.swap_source(Arc::new(MmapIndex::open(&path).unwrap()));
+    assert_serves(&svc, &indices[1], generation, &queries);
+    let generation = svc.swap_index(Arc::clone(&indices[2]));
+    assert_serves(&svc, &indices[2], generation, &queries);
+    let stats = svc.shutdown();
+    assert_eq!(stats.swaps, 2);
+    std::fs::remove_file(&path).ok();
 }

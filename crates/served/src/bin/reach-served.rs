@@ -3,7 +3,7 @@
 //! ```text
 //! reach-served --index <index.ridx> [--listen 127.0.0.1:7411]
 //!              [--compressed | --mmap]
-//!              [--workers N] [--queue-capacity N] [--cache N]
+//!              [--workers N] [--queue-capacity N]
 //!              [--default-deadline-ms N] [--max-inflight N]
 //!              [--max-batch N] [--qps N] [--max-frame BYTES]
 //!              [--drain-grace-ms N]
@@ -17,7 +17,6 @@
 //! is the full runbook; `docs/PROTOCOL.md` specifies the wire format.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use reach_serve::ServeConfig;
@@ -51,9 +50,8 @@ fn print_usage() {
            --listen ADDR             listen address (127.0.0.1:7411)\n\
            --compressed              serve a v2 index from its compressed in-memory image\n\
            --mmap                    memory-map a v2 index and serve out-of-core\n\
-           --workers N               service worker threads = label shards (4)\n\
-           --queue-capacity N        per-shard admission queue, in sub-batches (1024)\n\
-           --cache N                 result-cache entries, 0 disables (16384)\n\
+           --workers N               service worker threads (4)\n\
+           --queue-capacity N        per-worker admission queue, in sub-batches (1024)\n\
            --default-deadline-ms N   deadline for batches sent without one, 0 = none (0)\n\
            --max-inflight N          per-connection outstanding-query window (64)\n\
            --max-batch N             max (s,t) pairs per frame (4096)\n\
@@ -65,6 +63,41 @@ fn print_usage() {
          Hot reload: a wire RELOAD frame (empty path reloads --index).\n\
          Spec: docs/PROTOCOL.md — runbook: docs/OPERATIONS.md"
     );
+}
+
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--index",
+    "--listen",
+    "--workers",
+    "--queue-capacity",
+    "--default-deadline-ms",
+    "--max-inflight",
+    "--max-batch",
+    "--qps",
+    "--max-frame",
+    "--drain-grace-ms",
+];
+
+/// Flags that stand alone.
+const BOOL_FLAGS: &[&str] = &["--compressed", "--mmap"];
+
+/// Rejects any argument that is not a known flag or a known flag's
+/// value, so a typo (`--worker 8`) or a retired flag fails loudly
+/// instead of being silently ignored.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if VALUE_FLAGS.contains(&a) {
+            i += 2;
+        } else if BOOL_FLAGS.contains(&a) {
+            i += 1;
+        } else {
+            return Err(format!("unknown argument {a} (see --help)"));
+        }
+    }
+    Ok(())
 }
 
 fn bool_flag(args: &[String], name: &str) -> bool {
@@ -84,6 +117,7 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    check_flags(args)?;
     let index_path: String = flag(args, "--index", String::new())?;
     if index_path.is_empty() {
         return Err("--index <index.ridx> is required (see --help)".into());
@@ -91,7 +125,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let listen: String = flag(args, "--listen", "127.0.0.1:7411".to_string())?;
     let workers: usize = flag(args, "--workers", 4)?;
     let queue_capacity: usize = flag(args, "--queue-capacity", 1024)?;
-    let cache: usize = flag(args, "--cache", 1 << 14)?;
     let deadline_ms: u64 = flag(args, "--default-deadline-ms", 0)?;
     let max_inflight: u32 = flag(args, "--max-inflight", 64)?;
     let max_batch: u32 = flag(args, "--max-batch", 4096)?;
@@ -109,7 +142,6 @@ fn run(args: &[String]) -> Result<(), String> {
         serve: ServeConfig {
             workers: workers.max(1),
             queue_capacity: queue_capacity.max(1),
-            cache_capacity: cache,
             default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             ..ServeConfig::default()
         },
@@ -124,30 +156,16 @@ fn run(args: &[String]) -> Result<(), String> {
     };
 
     shutdown::install();
-    let server = match mode {
-        IndexMode::Ram => {
-            let index = reach_index::storage::load_index(&index_path)
-                .map_err(|e| format!("cannot load {index_path}: {e}"))?;
-            eprintln!(
-                "loaded {index_path}: {} vertices, {} label entries (mode: ram)",
-                index.num_vertices(),
-                index.num_entries()
-            );
-            Server::start(Arc::new(index), cfg, &listen)
-        }
-        IndexMode::Compressed | IndexMode::Mmap => {
-            let source = mode
-                .load(std::path::Path::new(&index_path))
-                .map_err(|e| format!("cannot load {index_path}: {e}"))?;
-            eprintln!(
-                "loaded {index_path}: {} (mode: {})",
-                source.describe(),
-                mode.name()
-            );
-            Server::start_with_source(source, cfg, &listen)
-        }
-    }
-    .map_err(|e| format!("bind {listen}: {e}"))?;
+    let source = mode
+        .load(std::path::Path::new(&index_path))
+        .map_err(|e| format!("cannot load {index_path}: {e}"))?;
+    eprintln!(
+        "loaded {index_path}: {} (mode: {})",
+        source.describe(),
+        mode.name()
+    );
+    let server = Server::start_with_source(source, cfg, &listen)
+        .map_err(|e| format!("bind {listen}: {e}"))?;
     eprintln!(
         "serving on {} with {} workers (drain: SIGTERM or wire DRAIN)",
         server.local_addr(),
@@ -187,4 +205,41 @@ fn run(args: &[String]) -> Result<(), String> {
         stats.generation
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn known_flags_pass_the_check() {
+        let ok = args(&[
+            "--index",
+            "x.ridx",
+            "--mmap",
+            "--workers",
+            "8",
+            "--qps",
+            "0",
+        ]);
+        assert_eq!(check_flags(&ok), Ok(()));
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_rejected() {
+        for bad in [
+            args(&["--index", "x.ridx", "--worker", "8"]),
+            args(&["--index", "x.ridx", "--cache", "0"]),
+            args(&["--index", "x.ridx", "stray"]),
+        ] {
+            let err = check_flags(&bad).unwrap_err();
+            assert!(err.starts_with("unknown argument"), "{err}");
+            // run() refuses before touching the index file.
+            assert_eq!(run(&bad), Err(err));
+        }
+    }
 }

@@ -11,7 +11,9 @@
 //! request order per connection while the service computes many batches
 //! concurrently — the reader keeps submitting (pipelining) while the
 //! writer blocks on the oldest [`BatchTicket`]. Clients correlate by
-//! `request_id` and must not assume cross-connection ordering.
+//! `request_id` and must not assume cross-connection ordering. The
+//! accept thread joins finished connection threads as it accepts new
+//! ones, so a long-running server retains nothing per closed connection.
 //!
 //! # Graceful drain
 //!
@@ -49,8 +51,8 @@ const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
 /// every wire-triggered RELOAD.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IndexMode {
-    /// Decode fully into an in-memory [`reach_index::ReachIndex`] with
-    /// per-worker sharded labels (v1 or v2 files).
+    /// Decode fully into an in-memory [`reach_index::ReachIndex`] (v1 or
+    /// v2 files).
     #[default]
     Ram,
     /// Hold the v2 image in memory in its compressed form and answer
@@ -86,7 +88,7 @@ impl IndexMode {
 #[derive(Clone, Debug)]
 pub struct ServedConfig {
     /// The wrapped [`QueryService`] configuration — workers, queue
-    /// bounds, cache, deadlines, resilience, degradation.
+    /// bounds, deadlines, resilience, degradation.
     pub serve: ServeConfig,
     /// Per-connection quotas (in-flight window, batch cap, rate bucket).
     pub quota: QuotaConfig,
@@ -139,11 +141,9 @@ struct Shared {
     stop: AtomicBool,
     /// Open connections.
     active: AtomicU64,
-    /// Join handles of connection reader threads (each joins its own
-    /// writer before exiting).
-    conns: Mutex<Vec<JoinHandle<()>>>,
-    /// Obs recordings banked by exited threads, merged at shutdown.
-    banked: Mutex<Vec<reach_obs::WorkerMetrics>>,
+    /// Join handles of live connection reader threads (each joins its
+    /// own writer before exiting); finished ones are reaped on accept.
+    conns: Mutex<Vec<JoinHandle<reach_obs::WorkerMetrics>>>,
 }
 
 /// A running wire server around a [`QueryService`]. Start with
@@ -152,7 +152,7 @@ struct Shared {
 /// model.
 pub struct Server {
     inner: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    accept: Option<JoinHandle<reach_obs::WorkerMetrics>>,
     addr: SocketAddr,
 }
 
@@ -196,16 +196,12 @@ impl Server {
             stop: AtomicBool::new(false),
             active: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
-            banked: Mutex::new(Vec::new()),
         });
         let accept = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("reach-served-accept".into())
-                .spawn(move || {
-                    let ((), metrics) = reach_obs::scoped_worker(|| accept_loop(&inner, listener));
-                    inner.banked.lock().unwrap().push(metrics);
-                })
+                .spawn(move || reach_obs::scoped_worker(|| accept_loop(&inner, listener)).1)
                 .expect("spawn accept thread")
         };
         Ok(Server {
@@ -263,26 +259,22 @@ impl Server {
 
     /// Tears the server down: stops accepting, unblocks every
     /// connection (in-flight responses are still written), joins all
-    /// threads, folds banked obs recordings into the calling thread, and
+    /// threads, folds their obs recordings into the calling thread, and
     /// shuts the inner service down — which asserts the
     /// `submitted == answered + rejected + shed` ledger.
     pub fn shutdown(mut self) -> reach_serve::ServeStats {
         self.inner.draining.store(true, Ordering::SeqCst);
         self.inner.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        loop {
-            let handles: Vec<_> = self.inner.conns.lock().unwrap().drain(..).collect();
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
-        for metrics in self.inner.banked.lock().unwrap().drain(..) {
+        // The accept thread is joined first, so no connection handle is
+        // pushed after the drain below.
+        if let Some(Ok(metrics)) = self.accept.take().map(JoinHandle::join) {
             reach_obs::merge_worker(metrics);
+        }
+        let handles: Vec<_> = self.inner.conns.lock().unwrap().drain(..).collect();
+        for h in handles {
+            if let Ok(metrics) = h.join() {
+                reach_obs::merge_worker(metrics);
+            }
         }
         let Server { inner, .. } = self;
         match Arc::try_unwrap(inner) {
@@ -295,7 +287,7 @@ impl Server {
 }
 
 /// Polls the non-blocking listener until stop/drain, spawning a
-/// connection thread per accept.
+/// connection thread per accept and reaping the finished ones.
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
         if shared.stop.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst) {
@@ -311,16 +303,33 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
                     .spawn(move || {
                         let ((), metrics) =
                             reach_obs::scoped_worker(|| connection_loop(&conn_shared, stream));
-                        conn_shared.banked.lock().unwrap().push(metrics);
                         conn_shared.active.fetch_sub(1, Ordering::SeqCst);
+                        metrics
                     })
                     .expect("spawn connection thread");
-                shared.conns.lock().unwrap().push(handle);
+                let mut conns = shared.conns.lock().unwrap();
+                reap_finished(&mut conns);
+                conns.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_INTERVAL);
             }
             Err(_) => std::thread::sleep(ACCEPT_INTERVAL),
+        }
+    }
+}
+
+/// Joins every connection thread that has exited, folding its obs
+/// recordings into the calling (accept) thread's, and keeps the rest.
+fn reap_finished(conns: &mut Vec<JoinHandle<reach_obs::WorkerMetrics>>) {
+    let mut k = 0;
+    while k < conns.len() {
+        if conns[k].is_finished() {
+            if let Ok(metrics) = conns.swap_remove(k).join() {
+                reach_obs::merge_worker(metrics);
+            }
+        } else {
+            k += 1;
         }
     }
 }
@@ -511,26 +520,24 @@ fn handle_frame(
             } else {
                 PathBuf::from(path)
             };
-            // Reload in the server's configured index mode: a ram-mode
-            // server decodes and reshards; compressed/mmap servers
-            // install the new file as a source without decoding it.
-            let mode = shared.cfg.index_mode;
-            let load_err = |e: storage::StorageError| {
-                (
-                    ErrorCode::ReloadFailed,
-                    format!("cannot load {}: {e}", path.display()),
-                )
-            };
-            let swap_err = |e: reach_serve::ServeError| ErrorCode::from_serve_error(&e);
-            let swapped: Result<u64, (ErrorCode, String)> = match mode {
-                IndexMode::Ram => storage::load_index(&path)
-                    .map_err(load_err)
-                    .and_then(|idx| shared.svc.try_swap_index(Arc::new(idx)).map_err(swap_err)),
-                IndexMode::Compressed | IndexMode::Mmap => mode
-                    .load(&path)
-                    .map_err(load_err)
-                    .and_then(|src| shared.svc.try_swap_source(src).map_err(swap_err)),
-            };
+            // Reload in the server's configured index mode, so a reload
+            // cannot change the serving form (or its memory footprint).
+            let swapped: Result<u64, (ErrorCode, String)> = shared
+                .cfg
+                .index_mode
+                .load(&path)
+                .map_err(|e| {
+                    (
+                        ErrorCode::ReloadFailed,
+                        format!("cannot load {}: {e}", path.display()),
+                    )
+                })
+                .and_then(|src| {
+                    shared
+                        .svc
+                        .try_swap_source(src)
+                        .map_err(|e| ErrorCode::from_serve_error(&e))
+                });
             match swapped {
                 Ok(generation) => {
                     reach_obs::counter_add("served.reloads", 1);
@@ -563,8 +570,6 @@ fn handle_frame(
                 answered: s.answered,
                 rejected: s.rejected(),
                 shed: s.shed,
-                cache_hits: s.cache_hits,
-                cache_misses: s.cache_misses,
                 swaps: s.swaps,
                 connections: shared.active.load(Ordering::SeqCst),
             };
@@ -685,4 +690,45 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Work>, inflight: &AtomicU32) 
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Response, WireClient};
+
+    /// A long-lived server retains nothing per closed connection: 300
+    /// sequential connect → PING → close cycles leave at most a few
+    /// connection handles un-reaped (those still exiting at the next
+    /// accept), not one per connection ever accepted.
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let index = Arc::new(reach_index::ReachIndex::from_labels(
+            vec![vec![0], vec![1]],
+            vec![vec![0, 1], vec![1]],
+        ));
+        let server = Server::start(index, ServedConfig::default(), "127.0.0.1:0").unwrap();
+        let mut most_retained = 0;
+        for cycle in 0..300 {
+            let mut client = WireClient::connect(server.local_addr()).unwrap();
+            assert!(
+                matches!(client.call_ping().unwrap(), Response::Pong),
+                "cycle {cycle}"
+            );
+            drop(client);
+            // Let the connection finish closing, so the next accept can
+            // reap it.
+            let give_up = Instant::now() + Duration::from_secs(5);
+            while server.active_connections() > 0 && Instant::now() < give_up {
+                std::thread::yield_now();
+            }
+            let retained = server.inner.conns.lock().unwrap().len();
+            most_retained = most_retained.max(retained);
+        }
+        assert!(
+            most_retained <= 4,
+            "{most_retained} connection handles retained after 300 closed connections"
+        );
+        server.shutdown();
+    }
 }

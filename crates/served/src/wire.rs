@@ -551,17 +551,15 @@ pub struct WireStats {
     pub rejected: u64,
     /// Batches shed by degradation tiers.
     pub shed: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
     /// Index hot-swaps installed (reloads included).
     pub swaps: u64,
     /// Currently open client connections.
     pub connections: u64,
 }
 
-/// Encodes a STATS_OK payload: nine `u64` fields in declaration order.
+/// Encodes a STATS_OK payload: nine `u64` fields. Slots 6 and 7 once
+/// carried result-cache hits and misses; the service has no cache, so
+/// they are always written as 0 and keep the layout protocol-compatible.
 pub fn encode_stats_ok(s: &WireStats) -> Vec<u8> {
     let fields = [
         s.generation,
@@ -569,8 +567,8 @@ pub fn encode_stats_ok(s: &WireStats) -> Vec<u8> {
         s.answered,
         s.rejected,
         s.shed,
-        s.cache_hits,
-        s.cache_misses,
+        0,
+        0,
         s.swaps,
         s.connections,
     ];
@@ -581,17 +579,21 @@ pub fn encode_stats_ok(s: &WireStats) -> Vec<u8> {
     out
 }
 
-/// Decodes a STATS_OK payload.
+/// Decodes a STATS_OK payload, skipping the two retired cache slots.
 pub fn decode_stats_ok(payload: &[u8]) -> Result<WireStats, PayloadError> {
     let mut c = Cursor::new(payload);
+    let generation = c.u64()?;
+    let submitted = c.u64()?;
+    let answered = c.u64()?;
+    let rejected = c.u64()?;
+    let shed = c.u64()?;
+    let _retired_cache_slots = (c.u64()?, c.u64()?);
     let s = WireStats {
-        generation: c.u64()?,
-        submitted: c.u64()?,
-        answered: c.u64()?,
-        rejected: c.u64()?,
-        shed: c.u64()?,
-        cache_hits: c.u64()?,
-        cache_misses: c.u64()?,
+        generation,
+        submitted,
+        answered,
+        rejected,
+        shed,
         swaps: c.u64()?,
         connections: c.u64()?,
     };
@@ -764,12 +766,13 @@ mod tests {
             answered: 3,
             rejected: 4,
             shed: 5,
-            cache_hits: 6,
-            cache_misses: 7,
             swaps: 8,
             connections: 9,
         };
-        assert_eq!(decode_stats_ok(&encode_stats_ok(&stats)), Ok(stats));
+        let payload = encode_stats_ok(&stats);
+        assert_eq!(payload.len(), 9 * 8, "the cache slots keep their place");
+        assert_eq!(&payload[40..56], &[0u8; 16], "retired cache slots read 0");
+        assert_eq!(decode_stats_ok(&payload), Ok(stats));
     }
 
     #[test]
